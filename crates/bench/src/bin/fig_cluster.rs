@@ -8,20 +8,22 @@
 //! lotteries and the workload are all seeded, so a given `--seed`
 //! reproduces the run bit for bit at any `--jobs` count.
 //!
-//! The run exits non-zero if any plan drops below 100% availability or
-//! leaves a slab under-replicated — the CI cluster-smoke gate.
+//! The run exits non-zero if any plan drops below 100% availability,
+//! leaves a slab under-replicated, serves a stale read or fails the
+//! final byte-exact read-back — the CI scenario-smoke gate.
 //!
 //! ```bash
 //! cargo run --release --bin fig_cluster -- --quick
 //! cargo run --release --bin fig_cluster -- --nodes 4 --placement p2c
 //! ```
 
-use kona::{ClusterConfig, PlacementKind, RemoteMemoryRuntime};
+use kona::{
+    line_stream, ClusterConfig, OpTally, PlacementKind, ReferenceMemory, RemoteMemoryRuntime,
+};
 use kona_bench::{banner, f2, ExpOptions, TextTable};
 use kona_cluster::{ClusterRuntime, ClusterStats, ControlPlaneConfig};
 use kona_net::FaultPlan;
 use kona_types::par_map;
-use kona_types::rng::{Rng, StdRng};
 
 /// Pages in the remote working set (the local cache holds 8).
 const PAGES: u64 = 64;
@@ -30,8 +32,7 @@ const VICTIM: u32 = 0;
 
 struct Outcome {
     plan: &'static str,
-    ok: u64,
-    failed: u64,
+    tally: OpTally,
     stats: kona::RuntimeStats,
     cluster: ClusterStats,
     abandoned: u64,
@@ -39,18 +40,8 @@ struct Outcome {
     series: Option<kona_telemetry::SeriesData>,
 }
 
-impl Outcome {
-    fn availability(&self) -> f64 {
-        let total = self.ok + self.failed;
-        if total == 0 {
-            return 0.0;
-        }
-        self.ok as f64 / total as f64
-    }
-}
-
 /// Drives `ops` accesses against a cluster running `plan`, checking
-/// every read against a host-side model.
+/// every read against a reference copy of the memory.
 fn run_plan(
     plan: FaultPlan,
     seed: u64,
@@ -74,55 +65,19 @@ fn run_plan(
     let mut rt = ClusterRuntime::with_telemetry(cfg, ControlPlaneConfig::default(), tel.clone())
         .expect("valid config");
     let base = rt.allocate(PAGES * 4096).expect("allocate");
-    let mut model = vec![0u8; (PAGES * 4096) as usize];
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (mut ok, mut failed) = (0u64, 0u64);
-    for _ in 0..ops {
-        let page = rng.gen_range(0..PAGES);
-        let off = (page * 4096 + rng.gen_range(0..64) * 64) as usize;
-        if rng.gen_bool(0.5) {
-            let byte: u8 = rng.gen();
-            match rt.write_bytes(base + off as u64, &[byte; 64]) {
-                Ok(_) => {
-                    model[off..off + 64].fill(byte);
-                    ok += 1;
-                }
-                Err(_) => failed += 1,
-            }
-        } else {
-            let mut buf = [0u8; 64];
-            match rt.read_bytes(base + off as u64, &mut buf) {
-                Ok(_) => {
-                    assert_eq!(&buf[..], &model[off..off + 64], "stale read under {name}");
-                    ok += 1;
-                }
-                Err(_) => failed += 1,
-            }
-        }
+    let mut reference = ReferenceMemory::new(base, PAGES);
+    let mut tally = OpTally::default();
+    for op in line_stream(PAGES, seed).take(ops as usize) {
+        tally.count(reference.apply(&mut rt, op));
     }
     // Final sweep: every page must still read byte-exact — after a crash
     // that means from a promoted or re-replicated copy.
-    let mut verify_errors = 0u64;
     let _ = rt.sync();
-    for page in 0..PAGES {
-        let mut buf = [0u8; 4096];
-        match rt.read_bytes(base + page * 4096, &mut buf) {
-            Ok(_) => {
-                let off = (page * 4096) as usize;
-                assert_eq!(
-                    &buf[..],
-                    &model[off..off + 4096],
-                    "page {page} diverged under {name}"
-                );
-            }
-            Err(_) => verify_errors += 1,
-        }
-    }
+    let verify_errors = reference.verify_all(&mut rt);
     let abandoned = rt.inner().eviction_stats().abandoned_flushes;
     Outcome {
         plan: name,
-        ok,
-        failed,
+        tally,
         stats: rt.stats(),
         cluster: rt.cluster_stats(),
         abandoned,
@@ -173,7 +128,7 @@ fn main() {
     for r in &results {
         table.row(vec![
             r.plan.to_string(),
-            f2(r.availability() * 100.0),
+            f2(r.tally.availability() * 100.0),
             r.abandoned.to_string(),
             r.cluster.rereplications.to_string(),
             r.cluster.under_replicated.to_string(),
@@ -185,7 +140,7 @@ fn main() {
             r.verify_errors.to_string(),
         ]);
         let g = |k: &str| format!("fig_cluster.{}.{k}", r.plan);
-        tel.gauge(&g("availability")).set(r.availability());
+        tel.gauge(&g("availability")).set(r.tally.availability());
         tel.gauge(&g("abandoned_flushes")).set(r.abandoned as f64);
         tel.gauge(&g("rereplications")).set(r.cluster.rereplications as f64);
         tel.gauge(&g("under_replicated")).set(r.cluster.under_replicated as f64);
@@ -198,7 +153,11 @@ fn main() {
         tel.gauge(&g("retries")).set(r.stats.retries as f64);
         tel.gauge(&g("failovers")).set(r.stats.failovers as f64);
         tel.gauge(&g("verify_errors")).set(r.verify_errors as f64);
-        if r.availability() < 1.0 || r.cluster.under_replicated > 0 || r.verify_errors > 0 {
+        if r.tally.availability() < 1.0
+            || r.cluster.under_replicated > 0
+            || r.tally.stale > 0
+            || r.verify_errors > 0
+        {
             gate_failures += 1;
         }
     }

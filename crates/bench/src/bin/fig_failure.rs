@@ -8,16 +8,22 @@
 //! jitter and workload are all seeded, so a given `--seed` reproduces the
 //! run bit for bit at any `--jobs` count.
 //!
+//! Every op is checked against one [`ReferenceMemory`], and the run ends
+//! with a whole-page read-back. The run exits non-zero if any read
+//! returned stale bytes or any page failed that read-back.
+//!
 //! ```bash
 //! cargo run --release --bin fig_failure -- --quick
 //! cargo run --release --bin fig_failure -- --seed 7 --metrics-out failure.json
 //! ```
 
-use kona::{ClusterConfig, KonaRuntime, RemoteMemoryRuntime};
+use kona::{
+    line_stream, ClusterConfig, KonaRuntime, OpTally, ReferenceMemory, RemoteMemoryRuntime,
+};
 use kona_bench::{banner, f2, ExpOptions, TextTable};
 use kona_net::FaultPlan;
-use kona_types::rng::{Rng, StdRng};
 use kona_types::par_map;
+use std::process::ExitCode;
 
 /// Pages in the remote working set (the local cache holds 8).
 const PAGES: u64 = 64;
@@ -26,8 +32,7 @@ const VICTIM: u32 = 0;
 
 struct Outcome {
     plan: &'static str,
-    ok: u64,
-    failed: u64,
+    tally: OpTally,
     stats: kona::RuntimeStats,
     eviction: kona::EvictionStats,
     verb_faults: u64,
@@ -35,18 +40,8 @@ struct Outcome {
     series: Option<kona_telemetry::SeriesData>,
 }
 
-impl Outcome {
-    fn availability(&self) -> f64 {
-        let total = self.ok + self.failed;
-        if total == 0 {
-            return 0.0;
-        }
-        self.ok as f64 / total as f64
-    }
-}
-
 /// Drives `ops` single-line accesses against a cluster running `plan`,
-/// checking every read against a local model of the memory.
+/// checking every read against a reference copy of the memory.
 fn run_plan(plan: FaultPlan, seed: u64, ops: u64, series_window: Option<u64>) -> Outcome {
     let name = plan.name;
     let mut cfg = ClusterConfig::small().with_local_cache_pages(8).with_replicas(2);
@@ -59,50 +54,18 @@ fn run_plan(plan: FaultPlan, seed: u64, ops: u64, series_window: Option<u64>) ->
     }
     let mut rt = KonaRuntime::with_telemetry(cfg, tel.clone()).expect("valid config");
     let base = rt.allocate(PAGES * 4096).expect("allocate");
-    let mut model = vec![0u8; (PAGES * 4096) as usize];
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (mut ok, mut failed) = (0u64, 0u64);
-    for _ in 0..ops {
-        let page = rng.gen_range(0..PAGES);
-        let off = (page * 4096 + rng.gen_range(0..64) * 64) as usize;
-        if rng.gen_bool(0.5) {
-            let byte: u8 = rng.gen();
-            match rt.write_bytes(base + off as u64, &[byte; 64]) {
-                Ok(_) => {
-                    model[off..off + 64].fill(byte);
-                    ok += 1;
-                }
-                Err(_) => failed += 1,
-            }
-        } else {
-            let mut buf = [0u8; 64];
-            match rt.read_bytes(base + off as u64, &mut buf) {
-                Ok(_) => {
-                    assert_eq!(&buf[..], &model[off..off + 64], "stale read under {name}");
-                    ok += 1;
-                }
-                Err(_) => failed += 1,
-            }
-        }
+    let mut reference = ReferenceMemory::new(base, PAGES);
+    let mut tally = OpTally::default();
+    for op in line_stream(PAGES, seed).take(ops as usize) {
+        tally.count(reference.apply(&mut rt, op));
     }
-    // Final sweep: every line the model knows must still be readable
-    // (possibly from a replica) and byte-exact.
-    let mut verify_errors = 0u64;
+    // Final sweep: every page must still be readable (possibly from a
+    // replica) and byte-exact.
     let _ = rt.sync();
-    for page in 0..PAGES {
-        let mut buf = [0u8; 4096];
-        match rt.read_bytes(base + page * 4096, &mut buf) {
-            Ok(_) => {
-                let off = (page * 4096) as usize;
-                assert_eq!(&buf[..], &model[off..off + 4096], "page {page} diverged under {name}");
-            }
-            Err(_) => verify_errors += 1,
-        }
-    }
+    let verify_errors = reference.verify_all(&mut rt);
     Outcome {
         plan: name,
-        ok,
-        failed,
+        tally,
         stats: rt.stats(),
         eviction: rt.eviction_stats(),
         verb_faults: rt.fabric_mut().fault_stats().total_verb_faults(),
@@ -111,7 +74,7 @@ fn run_plan(plan: FaultPlan, seed: u64, ops: u64, series_window: Option<u64>) ->
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let opts = ExpOptions::from_env();
     banner(
         "Failure recovery: availability under injected faults (§4.5)",
@@ -142,7 +105,7 @@ fn main() {
     for r in &results {
         table.row(vec![
             r.plan.to_string(),
-            f2(r.availability() * 100.0),
+            f2(r.tally.availability() * 100.0),
             r.verb_faults.to_string(),
             r.stats.retries.to_string(),
             r.stats.failovers.to_string(),
@@ -152,7 +115,7 @@ fn main() {
             r.verify_errors.to_string(),
         ]);
         let g = |k: &str| format!("fig_failure.{}.{k}", r.plan);
-        tel.gauge(&g("availability")).set(r.availability());
+        tel.gauge(&g("availability")).set(r.tally.availability());
         tel.gauge(&g("retries")).set(r.stats.retries as f64);
         tel.gauge(&g("failovers")).set(r.stats.failovers as f64);
         tel.gauge(&g("mce_events")).set(r.stats.mce_events as f64);
@@ -182,4 +145,13 @@ fn main() {
         all
     });
     opts.write_outputs_with_series(&tel, merged.as_ref());
+    let mut code = ExitCode::SUCCESS;
+    for r in results.iter().filter(|r| r.tally.stale > 0 || r.verify_errors > 0) {
+        eprintln!(
+            "data gate FAILED under {}: {} stale reads, {} verify errors",
+            r.plan, r.tally.stale, r.verify_errors
+        );
+        code = ExitCode::FAILURE;
+    }
+    code
 }

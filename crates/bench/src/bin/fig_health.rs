@@ -11,7 +11,7 @@
 //! The soft observability rules are calibrated so the congested plan's
 //! latency spikes demonstrably fire *and* resolve, while the critical
 //! availability/durability SLOs never fire — that split is the CI
-//! health-smoke gate. Everything is seeded and evaluated in simulated
+//! scenario-smoke gate. Everything is seeded and evaluated in simulated
 //! time, so output is byte-identical at any `--jobs` count.
 //!
 //! ```bash
@@ -20,11 +20,13 @@
 //!     --series-out health-series.json --health-out health.json
 //! ```
 
-use kona::{seeded_script, ClusterConfig, KonaRuntime, RemoteMemoryRuntime, ShardOp, ShardedRun};
+use kona::{
+    line_stream, seeded_script, ClusterConfig, KonaRuntime, OpOutcome, OpTally, ReferenceMemory,
+    RemoteMemoryRuntime, ShardOp, ShardedRun,
+};
 use kona_bench::{banner, f2, ExpOptions, TextTable};
 use kona_net::FaultPlan;
 use kona_telemetry::{HealthReport, Rule, SeriesData, Telemetry, DEFAULT_WINDOW_NS};
-use kona_types::rng::{Rng, StdRng};
 use kona_types::{par_map, Nanos, ShardPlan};
 use std::process::ExitCode;
 
@@ -75,14 +77,15 @@ fn rules_for_window(window_ns: u64) -> Vec<Rule> {
 
 struct Outcome {
     plan: &'static str,
-    ok: u64,
-    failed: u64,
+    tally: OpTally,
     health: HealthReport,
     series: SeriesData,
 }
 
 /// Drives `ops` accesses against a cluster running `plan` with the
-/// monitor installed, checking reads against a host-side model.
+/// monitor installed, checking reads against a reference copy of the
+/// memory. Stale reads and failed read-backs both count as
+/// `fig.verify_errors`, which the critical `slo.durability` rule watches.
 fn run_plan(plan: FaultPlan, seed: u64, ops: u64, window_ns: u64) -> Outcome {
     let name = plan.name;
     let mut cfg = ClusterConfig::small().with_local_cache_pages(8).with_replicas(2);
@@ -97,61 +100,25 @@ fn run_plan(plan: FaultPlan, seed: u64, ops: u64, window_ns: u64) -> Outcome {
     let verify_errors_ctr = tel.counter("fig.verify_errors");
     let mut rt = KonaRuntime::with_telemetry(cfg, tel.clone()).expect("valid config");
     let base = rt.allocate(PAGES * 4096).expect("allocate");
-    let mut model = vec![0u8; (PAGES * 4096) as usize];
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (mut ok, mut failed) = (0u64, 0u64);
-    for _ in 0..ops {
-        let page = rng.gen_range(0..PAGES);
-        let off = (page * 4096 + rng.gen_range(0..64) * 64) as usize;
-        if rng.gen_bool(0.5) {
-            let byte: u8 = rng.gen();
-            match rt.write_bytes(base + off as u64, &[byte; 64]) {
-                Ok(_) => {
-                    model[off..off + 64].fill(byte);
-                    ok += 1;
-                    ops_ok.inc();
-                }
-                Err(_) => {
-                    failed += 1;
-                    ops_failed.inc();
-                }
+    let mut reference = ReferenceMemory::new(base, PAGES);
+    let mut tally = OpTally::default();
+    for op in line_stream(PAGES, seed).take(ops as usize) {
+        match tally.count(reference.apply(&mut rt, op)) {
+            OpOutcome::Ok(_) => ops_ok.inc(),
+            OpOutcome::Stale(_) => {
+                ops_ok.inc();
+                verify_errors_ctr.inc();
             }
-        } else {
-            let mut buf = [0u8; 64];
-            match rt.read_bytes(base + off as u64, &mut buf) {
-                Ok(_) => {
-                    assert_eq!(&buf[..], &model[off..off + 64], "stale read under {name}");
-                    ok += 1;
-                    ops_ok.inc();
-                }
-                Err(_) => {
-                    failed += 1;
-                    ops_failed.inc();
-                }
-            }
+            OpOutcome::Failed => ops_failed.inc(),
         }
     }
     let _ = rt.sync();
-    for page in 0..PAGES {
-        let mut buf = [0u8; 4096];
-        match rt.read_bytes(base + page * 4096, &mut buf) {
-            Ok(_) => {
-                let off = (page * 4096) as usize;
-                assert_eq!(
-                    &buf[..],
-                    &model[off..off + 4096],
-                    "page {page} diverged under {name}"
-                );
-            }
-            Err(_) => verify_errors_ctr.inc(),
-        }
-    }
+    verify_errors_ctr.add(reference.verify_all(&mut rt));
     let health = tel.health_report().expect("monitor installed");
     let series = tel.series().expect("series enabled");
     Outcome {
         plan: name,
-        ok,
-        failed,
+        tally,
         health,
         series,
     }
@@ -232,11 +199,6 @@ fn main() -> ExitCode {
     let mut breaches = 0u64;
     let (mut fired_total, mut resolved_total) = (0usize, 0usize);
     for r in &results {
-        let avail = if r.ok + r.failed == 0 {
-            0.0
-        } else {
-            r.ok as f64 / (r.ok + r.failed) as f64
-        };
         // The loudest rule of the plan: most windows in breach.
         let worst = r
             .health
@@ -246,7 +208,7 @@ fn main() -> ExitCode {
             .max_by_key(|o| o.windows_firing);
         table.row(vec![
             r.plan.to_string(),
-            f2(avail * 100.0),
+            f2(r.tally.availability() * 100.0),
             r.health.windows.to_string(),
             r.health.alerts_fired().to_string(),
             r.health.alerts_resolved().to_string(),

@@ -29,12 +29,13 @@
 //! cargo run --release --bin fig_partition -- --quick --no-fencing
 //! ```
 
-use kona::{ClusterConfig, FailurePolicy, RemoteMemoryRuntime};
+use kona::{
+    line_stream, ClusterConfig, FailurePolicy, OpTally, ReferenceMemory, RemoteMemoryRuntime,
+};
 use kona_bench::{banner, f2, ExpOptions, TextTable};
 use kona_cluster::{ClusterRuntime, ControlPlaneConfig};
 use kona_net::FaultPlan;
 use kona_telemetry::{Profile, Rule, Telemetry, DEFAULT_WINDOW_NS};
-use kona_types::rng::{Rng, StdRng};
 use kona_types::{par_map, Nanos};
 use std::process::ExitCode;
 
@@ -50,9 +51,9 @@ const HORIZON: Nanos = Nanos::from_ns(6_000_000);
 struct Outcome {
     plan: &'static str,
     fencing: bool,
-    ok: u64,
-    failed: u64,
-    stale_reads: u64,
+    /// Op outcomes; a stale read is a healed-but-stale replica serving
+    /// pre-partition bytes.
+    tally: OpTally,
     verify_errors: u64,
     stats: kona_cluster::ClusterStats,
     /// Divergence found by the convergence pass (a second full scrub
@@ -65,18 +66,6 @@ struct Outcome {
     profile: Option<Profile>,
 }
 
-impl Outcome {
-    fn availability(&self) -> f64 {
-        let total = self.ok + self.failed;
-        if total == 0 {
-            return 0.0;
-        }
-        self.ok as f64 / total as f64
-    }
-}
-
-/// Drives the seeded workload under `plan` with fencing on or off,
-/// then audits the end state with two full scrub passes.
 /// Scalar knobs shared by every (plan, fencing) point.
 #[derive(Clone, Copy)]
 struct Knobs {
@@ -88,6 +77,8 @@ struct Knobs {
     trace_capacity: usize,
 }
 
+/// Drives the seeded workload under `plan` with fencing on or off,
+/// then audits the end state with two full scrub passes.
 fn run_mode(plan: FaultPlan, fencing: bool, knobs: Knobs) -> Outcome {
     let Knobs { seed, ops, lease_ns, scrub_interval, window_ns, trace_capacity } = knobs;
     let name = plan.name;
@@ -118,43 +109,11 @@ fn run_mode(plan: FaultPlan, fencing: bool, knobs: Knobs) -> Outcome {
         ClusterRuntime::with_telemetry(cfg, plane, tel.clone()).expect("valid config");
     rt.inner_mut().set_failure_policy(FailurePolicy::PageFaultFallback);
     let base = rt.allocate(PAGES * 4096).expect("allocate");
-    let mut model = vec![0u8; (PAGES * 4096) as usize];
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (mut ok, mut failed, mut stale_reads) = (0u64, 0u64, 0u64);
-    let step = |rt: &mut ClusterRuntime,
-                    rng: &mut StdRng,
-                    model: &mut Vec<u8>,
-                    ok: &mut u64,
-                    failed: &mut u64,
-                    stale: &mut u64| {
-        let page = rng.gen_range(0..PAGES);
-        let off = (page * 4096 + rng.gen_range(0..64) * 64) as usize;
-        if rng.gen_bool(0.5) {
-            let byte: u8 = rng.gen();
-            match rt.write_bytes(base + off as u64, &[byte; 64]) {
-                Ok(_) => {
-                    model[off..off + 64].fill(byte);
-                    *ok += 1;
-                }
-                Err(_) => *failed += 1,
-            }
-        } else {
-            let mut buf = [0u8; 64];
-            match rt.read_bytes(base + off as u64, &mut buf) {
-                Ok(_) => {
-                    if buf[..] != model[off..off + 64] {
-                        // A split-brain read: a healed-but-stale
-                        // replica served pre-partition bytes.
-                        *stale += 1;
-                    }
-                    *ok += 1;
-                }
-                Err(_) => *failed += 1,
-            }
-        }
-    };
-    for i in 0..ops {
-        step(&mut rt, &mut rng, &mut model, &mut ok, &mut failed, &mut stale_reads);
+    let mut reference = ReferenceMemory::new(base, PAGES);
+    let mut tally = OpTally::default();
+    let mut stream = line_stream(PAGES, seed);
+    for (i, op) in stream.by_ref().take(ops as usize).enumerate() {
+        tally.count(reference.apply(&mut rt, op));
         // Periodic durability sync, as a checkpointing workload would
         // issue: flushing mid-partition is what exposes the cut to the
         // eviction handler (and the lease machinery) op by op.
@@ -165,13 +124,14 @@ fn run_mode(plan: FaultPlan, fencing: bool, knobs: Knobs) -> Outcome {
     // Epilogue: keep the cluster ticking past every scheduled heal and
     // the late crash, so leases lapse, fences rise, rejoins land and
     // the scrub cursor sweeps — all in simulated time.
-    let mut rounds = 0u64;
-    while rt.inner_mut().fabric_mut().now() < HORIZON && rounds < 50_000 {
-        step(&mut rt, &mut rng, &mut model, &mut ok, &mut failed, &mut stale_reads);
-        if rounds.is_multiple_of(64) {
+    for (round, op) in stream.take(50_000).enumerate() {
+        if rt.inner_mut().fabric_mut().now() >= HORIZON {
+            break;
+        }
+        tally.count(reference.apply(&mut rt, op));
+        if round % 64 == 0 {
             let _ = rt.sync();
         }
-        rounds += 1;
     }
     let _ = rt.sync();
 
@@ -184,20 +144,8 @@ fn run_mode(plan: FaultPlan, fencing: bool, knobs: Knobs) -> Outcome {
     let end_divergence = fin.divergence_found - mid.divergence_found;
 
     // Final sweep: every page must read back; mismatches against the
-    // host model are stale state the runtime failed to mask.
-    let mut verify_errors = 0u64;
-    for page in 0..PAGES {
-        let mut buf = [0u8; 4096];
-        match rt.read_bytes(base + page * 4096, &mut buf) {
-            Ok(_) => {
-                let off = (page * 4096) as usize;
-                if buf[..] != model[off..off + 4096] {
-                    verify_errors += 1;
-                }
-            }
-            Err(_) => verify_errors += 1,
-        }
-    }
+    // reference are stale state the runtime failed to mask.
+    let verify_errors = reference.verify_all(&mut rt);
 
     let health = tel.health_report().expect("monitor installed");
     let split_brain_fired = health
@@ -212,9 +160,7 @@ fn run_mode(plan: FaultPlan, fencing: bool, knobs: Knobs) -> Outcome {
     Outcome {
         plan: name,
         fencing,
-        ok,
-        failed,
-        stale_reads,
+        tally,
         verify_errors,
         stats: rt.cluster_stats(),
         end_divergence,
@@ -287,23 +233,23 @@ fn main() -> ExitCode {
         table.row(vec![
             r.plan.to_string(),
             mode.to_string(),
-            f2(r.availability() * 100.0),
+            f2(r.tally.availability() * 100.0),
             r.stats.fenced_writes.to_string(),
             r.stats.lease_expirations.to_string(),
             r.stats.lease_rejoins.to_string(),
             r.stats.stale_applied.to_string(),
-            r.stale_reads.to_string(),
+            r.tally.stale.to_string(),
             r.stats.scrub_divergence_found.to_string(),
             r.stats.scrub_divergence_repaired.to_string(),
             r.stats.under_replicated.to_string(),
         ]);
         let g = |k: &str| format!("fig_partition.{}.{mode}.{k}", r.plan);
-        tel.gauge(&g("availability")).set(r.availability());
+        tel.gauge(&g("availability")).set(r.tally.availability());
         tel.gauge(&g("fenced_writes")).set(r.stats.fenced_writes as f64);
         tel.gauge(&g("lease_expirations")).set(r.stats.lease_expirations as f64);
         tel.gauge(&g("lease_rejoins")).set(r.stats.lease_rejoins as f64);
         tel.gauge(&g("stale_applied")).set(r.stats.stale_applied as f64);
-        tel.gauge(&g("stale_reads")).set(r.stale_reads as f64);
+        tel.gauge(&g("stale_reads")).set(r.tally.stale as f64);
         tel.gauge(&g("divergence_found")).set(r.stats.scrub_divergence_found as f64);
         tel.gauge(&g("divergence_repaired")).set(r.stats.scrub_divergence_repaired as f64);
         tel.gauge(&g("under_replicated")).set(r.stats.under_replicated as f64);
@@ -313,8 +259,8 @@ fn main() -> ExitCode {
             gate_failures += 1;
             eprintln!("GATE FAILED [{} fencing={mode}]: {why}", r.plan);
         };
-        if r.failed > 0 {
-            fail(&format!("availability below 100% ({} ops failed)", r.failed));
+        if r.tally.failed > 0 {
+            fail(&format!("availability below 100% ({} ops failed)", r.tally.failed));
         }
         if r.end_divergence > 0 {
             fail(&format!(
@@ -338,8 +284,8 @@ fn main() -> ExitCode {
             if r.stats.stale_applied > 0 {
                 fail(&format!("{} stale-epoch entries applied", r.stats.stale_applied));
             }
-            if r.stale_reads > 0 {
-                fail(&format!("{} stale reads served", r.stale_reads));
+            if r.tally.stale > 0 {
+                fail(&format!("{} stale reads served", r.tally.stale));
             }
             if r.stats.scrub_divergence_found > 0 {
                 fail(&format!(

@@ -36,7 +36,9 @@
 //!     --profile-out profile.json --flame-out profile.folded
 //! ```
 
-use kona::{ClusterConfig, KonaRuntime, RemoteMemoryRuntime};
+use kona::{
+    line_stream, ClusterConfig, KonaRuntime, OpOutcome, ReferenceMemory, RemoteMemoryRuntime,
+};
 use kona_bench::{
     banner, profile_scenario, workload_by_name, ExpOptions, TextTable, WORKLOAD_NAMES,
 };
@@ -45,7 +47,6 @@ use kona_net::FaultPlan;
 use kona_telemetry::{
     host_profile_start, host_profile_stop, Profile, QueueStats, Telemetry, DEFAULT_WINDOW_NS,
 };
-use kona_types::rng::{Rng, StdRng};
 use kona_types::{align_up, par_map, ByteSize, Nanos, Shards, PAGE_SIZE_4K};
 use kona_workloads::WorkloadProfile;
 use std::process::ExitCode;
@@ -94,8 +95,9 @@ fn run_workload(idx: usize, name: &str, quick: bool, capacity: usize) -> Workloa
 /// with tracing and windows on: the remote-CPU side (log apply,
 /// compaction) shows up as Cluster-track spans in the profile, and the
 /// per-memory-node `backlog_bytes`/`backlog_batches` gauges populate the
-/// node half of the queueing table. Single-threaded and seeded, so the
-/// output is identical at any `--jobs`/`--shards` value.
+/// node half of the queueing table. Every op must complete and every read
+/// must match the reference copy (the plan is calm). Single-threaded and
+/// seeded, so the output is identical at any `--jobs`/`--shards` value.
 fn run_cluster_segment(seed: u64, quick: bool, capacity: usize) -> (Profile, QueueStats, u64) {
     const PAGES: u64 = 64;
     let ops = if quick { 600 } else { 6_000 };
@@ -115,17 +117,10 @@ fn run_cluster_segment(seed: u64, quick: bool, capacity: usize) -> (Profile, Que
     let mut rt =
         ClusterRuntime::with_telemetry(cfg, plane, tel.clone()).expect("valid config");
     let base = rt.allocate(PAGES * 4096).expect("allocate");
-    let mut rng = StdRng::seed_from_u64(seed);
-    for i in 0..ops {
-        let page = rng.gen_range(0..PAGES);
-        let addr = base + page * 4096 + rng.gen_range(0..64) * 64;
-        if rng.gen_bool(0.5) {
-            let byte: u8 = rng.gen();
-            rt.write_bytes(addr, &[byte; 64]).expect("calm write");
-        } else {
-            let mut buf = [0u8; 64];
-            rt.read_bytes(addr, &mut buf).expect("calm read");
-        }
+    let mut reference = ReferenceMemory::new(base, PAGES);
+    for (i, op) in line_stream(PAGES, seed).take(ops).enumerate() {
+        let outcome = reference.apply(&mut rt, op);
+        assert!(matches!(outcome, OpOutcome::Ok(_)), "calm {op:?}: {outcome:?}");
         if i % 256 == 255 {
             rt.sync().expect("calm sync");
         }

@@ -4,7 +4,7 @@
 //! [`FaultPlan`], printing per-plan traffic counters and the merged-run
 //! fingerprint digest. The logical decomposition is fixed (`--logical`,
 //! default 8), so the printed output is **byte-identical at every
-//! `--shards N` and `--jobs N`** — the CI `shard-smoke` job runs this
+//! `--shards N` and `--jobs N`** — the CI `scenario-smoke` job runs this
 //! binary at two shard counts and byte-compares the transcripts.
 //!
 //! The run exits non-zero if any plan's in-process replay check fails

@@ -75,6 +75,9 @@ pub use failure::{FailurePolicy, FailureState, McEvent, PolicyCounts};
 pub use log::{CacheLineLog, LogEntry, LogReceiver, ReceiverReport, ShipmentBatch};
 pub use poller::Poller;
 pub use runtime::{KonaRuntime, RemoteMemoryRuntime};
-pub use shard::{seeded_script, ShardOp, ShardReport, ShardedRun, ShipmentDigest};
+pub use shard::{
+    line_stream, seeded_script, OpOutcome, OpTally, ReferenceMemory, ShardOp, ShardReport,
+    ShardedRun, ShipmentDigest,
+};
 pub use stats::RuntimeStats;
 pub use vm_runtime::{VmProfile, VmRuntime};

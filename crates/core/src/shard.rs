@@ -61,7 +61,7 @@ use kona_telemetry::{
 use kona_types::rng::{Rng, StdRng};
 use kona_types::{
     par_map, sequence_streams, Jobs, Nanos, Result, ShardPlan, Shards, VirtAddr, CACHE_LINE_SIZE,
-    FxHashMap, LINES_PER_PAGE_4K, PAGE_SIZE_4K,
+    LINES_PER_PAGE_4K, PAGE_SIZE_4K,
 };
 
 /// One scripted operation against the sharded page space.
@@ -83,8 +83,8 @@ pub enum ShardOp {
         /// Payload byte.
         fill: u8,
     },
-    /// Load `len` bytes from line `line` of page `page` (verified against
-    /// a model when data tracking is on).
+    /// Load `len` bytes from line `line` of page `page` (checked against
+    /// a [`ReferenceMemory`] when data tracking is on).
     Read {
         /// Global logical page id.
         page: u64,
@@ -96,6 +96,17 @@ pub enum ShardOp {
     /// Flush all dirty state (broadcast to every shard at this point of
     /// the script).
     Sync,
+}
+
+impl ShardOp {
+    /// The same op moved to `page` ([`ShardOp::Sync`] is unchanged).
+    fn on_page(self, page: u64) -> ShardOp {
+        match self {
+            ShardOp::Write { line, len, fill, .. } => ShardOp::Write { page, line, len, fill },
+            ShardOp::Read { line, len, .. } => ShardOp::Read { page, line, len },
+            ShardOp::Sync => ShardOp::Sync,
+        }
+    }
 }
 
 /// A compact, order-preserving digest of one flushed log batch, used in
@@ -141,6 +152,142 @@ pub fn seeded_script(pages: u64, ops: usize, seed: u64) -> Vec<ShardOp> {
     }
     script.push(ShardOp::Sync);
     script
+}
+
+/// An endless seeded stream of full-line ops over `pages` pages — the
+/// fault-plan figures' workload. Each op draws, in order, a page, a line,
+/// a fair coin (heads: write) and, for a write, the fill byte. The same
+/// `(pages, seed)` always yields the same stream.
+pub fn line_stream(pages: u64, seed: u64) -> impl Iterator<Item = ShardOp> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let pages = pages.max(1);
+    let len = CACHE_LINE_SIZE as u32;
+    std::iter::repeat_with(move || {
+        let page = rng.gen_range(0..pages);
+        let line = rng.gen_range(0..LINES_PER_PAGE_4K as u32);
+        if rng.gen_bool(0.5) {
+            ShardOp::Write { page, line, len, fill: rng.gen() }
+        } else {
+            ShardOp::Read { page, line, len }
+        }
+    })
+}
+
+/// What one op did, judged against a [`ReferenceMemory`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OpOutcome {
+    /// The op completed in the given simulated application time.
+    Ok(Nanos),
+    /// A read completed in the given time but returned bytes that differ
+    /// from the reference: the runtime failed to behave like memory.
+    Stale(Nanos),
+    /// The runtime returned an error.
+    Failed,
+}
+
+/// Running counts of [`OpOutcome`]s.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OpTally {
+    /// Ops that completed, stale reads included.
+    pub completed: u64,
+    /// Reads that completed with stale bytes.
+    pub stale: u64,
+    /// Ops the runtime failed.
+    pub failed: u64,
+}
+
+impl OpTally {
+    /// Counts `outcome` and hands it back, so callers can chain their own
+    /// per-op hooks.
+    pub fn count(&mut self, outcome: OpOutcome) -> OpOutcome {
+        match outcome {
+            OpOutcome::Ok(_) => self.completed += 1,
+            OpOutcome::Stale(_) => {
+                self.completed += 1;
+                self.stale += 1;
+            }
+            OpOutcome::Failed => self.failed += 1,
+        }
+        outcome
+    }
+
+    /// Fraction of counted ops that completed (0 when none were counted).
+    pub fn availability(&self) -> f64 {
+        let total = self.completed + self.failed;
+        if total == 0 {
+            return 0.0;
+        }
+        self.completed as f64 / total as f64
+    }
+}
+
+/// A flat host-side copy of `pages` pages of remote memory starting at
+/// `base`: what every byte must read as if the runtime behaves like plain
+/// memory. Memory starts zeroed; only writes the runtime acknowledged
+/// change the copy.
+#[derive(Debug, Clone)]
+pub struct ReferenceMemory {
+    base: VirtAddr,
+    bytes: Vec<u8>,
+}
+
+impl ReferenceMemory {
+    /// A zeroed reference for the `pages` pages at `base`.
+    pub fn new(base: VirtAddr, pages: u64) -> Self {
+        ReferenceMemory {
+            base,
+            bytes: vec![0; (pages * PAGE_SIZE_4K) as usize],
+        }
+    }
+
+    /// Runs `op` on `rt` (its page is an index from `base`) and checks a
+    /// read against the reference.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `op` addresses a page outside the reference.
+    pub fn apply<R: RemoteMemoryRuntime + ?Sized>(&mut self, rt: &mut R, op: ShardOp) -> OpOutcome {
+        let at = |page: u64, line: u32| page * PAGE_SIZE_4K + u64::from(line) * CACHE_LINE_SIZE;
+        match op {
+            ShardOp::Write { page, line, len, fill } => {
+                let off = at(page, line);
+                let (start, len) = (off as usize, len as usize);
+                let data = [fill; CACHE_LINE_SIZE as usize];
+                match rt.write_bytes(self.base + off, &data[..len]) {
+                    Ok(t) => {
+                        self.bytes[start..start + len].fill(fill);
+                        OpOutcome::Ok(t)
+                    }
+                    Err(_) => OpOutcome::Failed,
+                }
+            }
+            ShardOp::Read { page, line, len } => {
+                let off = at(page, line);
+                let (start, len) = (off as usize, len as usize);
+                let mut buf = [0u8; CACHE_LINE_SIZE as usize];
+                match rt.read_bytes(self.base + off, &mut buf[..len]) {
+                    Ok(t) if buf[..len] == self.bytes[start..start + len] => OpOutcome::Ok(t),
+                    Ok(t) => OpOutcome::Stale(t),
+                    Err(_) => OpOutcome::Failed,
+                }
+            }
+            ShardOp::Sync => rt.sync().map_or(OpOutcome::Failed, OpOutcome::Ok),
+        }
+    }
+
+    /// Reads every page back whole, in page order, and counts the pages
+    /// that fail to read or differ from the reference.
+    pub fn verify_all<R: RemoteMemoryRuntime + ?Sized>(&self, rt: &mut R) -> u64 {
+        let mut buf = vec![0u8; PAGE_SIZE_4K as usize];
+        let mut errors = 0;
+        for (page, expect) in (0u64..).zip(self.bytes.chunks_exact(PAGE_SIZE_4K as usize)) {
+            match rt.read_bytes(self.base + page * PAGE_SIZE_4K, &mut buf) {
+                Ok(_) if buf == expect => {}
+                _ => errors += 1,
+            }
+        }
+        errors
+    }
 }
 
 /// What one logical shard produced; merged in shard order by
@@ -235,7 +382,7 @@ impl ShardReport {
     /// journal and the metric dump. Two runs of the same script with the
     /// same plan produce byte-identical fingerprints at **any** worker
     /// count — this is the equality the determinism suite and the CI
-    /// shard-smoke job assert.
+    /// scenario-smoke job assert.
     pub fn fingerprint(&self) -> String {
         let mut ship_hash = FNV_OFFSET;
         for &(at, shard, digest) in &self.shipments {
@@ -416,7 +563,8 @@ impl ShardedRun {
         for &op in script {
             match op {
                 ShardOp::Write { page, .. } | ShardOp::Read { page, .. } => {
-                    streams[self.plan.shard_of_page(page) as usize].push(op);
+                    let local = op.on_page(self.plan.local_index(page));
+                    streams[self.plan.shard_of_page(page) as usize].push(local);
                 }
                 ShardOp::Sync => {
                     for stream in &mut streams {
@@ -496,8 +644,8 @@ impl ShardedRun {
         })
     }
 
-    /// Runs one logical shard's op stream to completion on its own
-    /// vertical slice of the runtime.
+    /// Runs one logical shard's op stream (pages already mapped to local
+    /// indexes) to completion on its own vertical slice of the runtime.
     fn run_shard(&self, shard: u32, stream: &[ShardOp]) -> Result<ShardOutcome> {
         let slice = self.config.shard_slice(shard, self.plan.logical());
         let verify = matches!(slice.data_mode, DataMode::Tracked);
@@ -520,58 +668,20 @@ impl ShardedRun {
         let owned = self.plan.pages_owned(shard, self.pages).max(1);
         let base = rt.allocate(owned * PAGE_SIZE_4K)?;
 
-        let mut model: FxHashMap<u64, u8> = FxHashMap::default();
-        let mut buf = [0u8; CACHE_LINE_SIZE as usize];
-        let mut line_data = [0u8; CACHE_LINE_SIZE as usize];
+        let mut reference = ReferenceMemory::new(base, owned);
         let mut clock = Nanos::ZERO;
         let mut ops = 0u64;
-        let addr_of = |page: u64, line: u32| -> VirtAddr {
-            base + self.plan.local_index(page) * PAGE_SIZE_4K
-                + u64::from(line) * CACHE_LINE_SIZE
-        };
         let mut failed = 0u64;
         for &op in stream {
             // Injected faults fail individual ops (counted, like the
             // chaos workloads); the final sync below must still succeed.
-            match op {
-                ShardOp::Write { page, line, len, fill } => {
-                    let addr = addr_of(page, line);
-                    line_data[..len as usize].fill(fill);
-                    match rt.write_bytes(addr, &line_data[..len as usize]) {
-                        Ok(t) => {
-                            clock += t;
-                            if verify {
-                                for j in 0..u64::from(len) {
-                                    model.insert(addr.raw() + j, fill);
-                                }
-                            }
-                        }
-                        Err(_) => failed += 1,
-                    }
+            match reference.apply(&mut rt, op) {
+                OpOutcome::Ok(t) => clock += t,
+                OpOutcome::Stale(t) => {
+                    assert!(!verify, "shard {shard}: stale read on local {op:?}");
+                    clock += t;
                 }
-                ShardOp::Read { page, line, len } => {
-                    let addr = addr_of(page, line);
-                    match rt.read_bytes(addr, &mut buf[..len as usize]) {
-                        Ok(t) => {
-                            clock += t;
-                            if verify {
-                                for j in 0..u64::from(len) {
-                                    if let Some(&expect) = model.get(&(addr.raw() + j)) {
-                                        assert_eq!(
-                                            buf[j as usize], expect,
-                                            "shard {shard} read mismatch at {addr:?}+{j}"
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                        Err(_) => failed += 1,
-                    }
-                }
-                ShardOp::Sync => match rt.sync() {
-                    Ok(t) => clock += t,
-                    Err(_) => failed += 1,
-                },
+                OpOutcome::Failed => failed += 1,
             }
             ops += 1;
             ops_counter.inc();
@@ -625,6 +735,110 @@ impl ShardedRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kona_types::{KonaError, MemAccess};
+
+    /// Plain memory that can lie: writes to line `stale_line` are
+    /// acknowledged but dropped, so reads there serve old bytes; with
+    /// `fail` set, every call returns an error.
+    struct LyingMemory {
+        mem: Vec<u8>,
+        stale_line: Option<u64>,
+        fail: bool,
+    }
+
+    impl LyingMemory {
+        fn cost(&self) -> Result<Nanos> {
+            if self.fail {
+                Err(KonaError::MemoryNodeFailed(0))
+            } else {
+                Ok(Nanos::from_ns(1))
+            }
+        }
+    }
+
+    impl RemoteMemoryRuntime for LyingMemory {
+        fn name(&self) -> &str {
+            "lying"
+        }
+        fn allocate(&mut self, bytes: u64) -> Result<VirtAddr> {
+            self.mem = vec![0; bytes as usize];
+            Ok(VirtAddr::new(0))
+        }
+        fn free(&mut self, _addr: VirtAddr, _bytes: u64) {}
+        fn access(&mut self, _access: MemAccess) -> Result<Nanos> {
+            self.cost()
+        }
+        fn write_bytes(&mut self, addr: VirtAddr, data: &[u8]) -> Result<Nanos> {
+            let t = self.cost()?;
+            if Some(addr.raw() / CACHE_LINE_SIZE) != self.stale_line {
+                self.mem[addr.raw() as usize..][..data.len()].copy_from_slice(data);
+            }
+            Ok(t)
+        }
+        fn read_bytes(&mut self, addr: VirtAddr, buf: &mut [u8]) -> Result<Nanos> {
+            let t = self.cost()?;
+            buf.copy_from_slice(&self.mem[addr.raw() as usize..][..buf.len()]);
+            Ok(t)
+        }
+        fn sync(&mut self) -> Result<Nanos> {
+            self.cost()
+        }
+        fn stats(&self) -> RuntimeStats {
+            RuntimeStats::default()
+        }
+    }
+
+    /// Drives a fixed script against `rt` over two pages and returns the
+    /// tally and the final sweep's error count.
+    fn check(mut rt: LyingMemory) -> (OpTally, u64) {
+        let base = rt.allocate(2 * PAGE_SIZE_4K).unwrap();
+        let mut reference = ReferenceMemory::new(base, 2);
+        let write = |page, line| ShardOp::Write { page, line, len: 64, fill: 0xAB };
+        let read = |page, line| ShardOp::Read { page, line, len: 64 };
+        let mut tally = OpTally::default();
+        for op in [write(0, 5), read(0, 5), write(1, 5), read(1, 5), read(0, 6), ShardOp::Sync] {
+            tally.count(reference.apply(&mut rt, op));
+        }
+        (tally, reference.verify_all(&mut rt))
+    }
+
+    #[test]
+    fn reference_catches_a_runtime_serving_stale_bytes() {
+        let honest = check(LyingMemory { mem: Vec::new(), stale_line: None, fail: false });
+        assert_eq!(honest, (OpTally { completed: 6, stale: 0, failed: 0 }, 0));
+        let lying = check(LyingMemory { mem: Vec::new(), stale_line: Some(5), fail: false });
+        assert_eq!(lying, (OpTally { completed: 6, stale: 1, failed: 0 }, 1));
+    }
+
+    #[test]
+    fn a_failing_runtime_fails_ops_instead_of_reading_stale() {
+        let failing = check(LyingMemory { mem: Vec::new(), stale_line: None, fail: true });
+        assert_eq!(failing, (OpTally { completed: 0, stale: 0, failed: 6 }, 2));
+        assert_eq!(failing.0.availability(), 0.0);
+    }
+
+    fn digest(ops: impl IntoIterator<Item = ShardOp>) -> u64 {
+        let mut hash = FNV_OFFSET;
+        for op in ops {
+            let limbs = match op {
+                ShardOp::Write { page, line, len, fill } => {
+                    [1, page, line.into(), len.into(), fill.into()]
+                }
+                ShardOp::Read { page, line, len } => [2, page, line.into(), len.into(), 0],
+                ShardOp::Sync => [3, 0, 0, 0, 0],
+            };
+            hash = limbs.into_iter().fold(hash, fnv_fold);
+        }
+        hash
+    }
+
+    /// Pins both generators: one moved RNG draw would silently shift every
+    /// figure transcript and perfbench's simulated digests.
+    #[test]
+    fn generators_match_their_golden_digests() {
+        assert_eq!(digest(seeded_script(4096, 300_000, 1)), 0xc9e3_54e3_31e6_a9cf);
+        assert_eq!(digest(line_stream(64, 42).take(600)), 0x8dc3_a755_6b39_a642);
+    }
 
     fn small_run(pages: u64) -> ShardedRun {
         ShardedRun::new(ClusterConfig::small(), pages).with_plan(ShardPlan::new(4))

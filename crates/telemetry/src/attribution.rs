@@ -24,7 +24,7 @@
 //! children + residual` true by construction, the critical-side component
 //! sums equal the root duration identically — the analyzer still verifies
 //! it per trace and counts violations (which `fig_attrib` and the
-//! `obs-smoke` CI job require to be zero).
+//! `scenario-smoke` CI job require to be zero).
 
 use crate::event::EventKind;
 use crate::trace::{charge_of, OpKind, TraceRecord};

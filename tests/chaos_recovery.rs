@@ -6,9 +6,11 @@
 //! worker counts (PR 2's `--jobs` determinism contract). The seed comes
 //! from `CHAOS_SEED` (default 42) so CI can sweep seeds cheaply.
 
-use kona::{ClusterConfig, FailurePolicy, KonaRuntime, RemoteMemoryRuntime};
+use kona::{
+    line_stream, ClusterConfig, FailurePolicy, KonaRuntime, OpTally, ReferenceMemory,
+    RemoteMemoryRuntime,
+};
 use kona_net::FaultPlan;
-use kona_types::rng::{Rng, StdRng};
 use kona_types::{par_map, Jobs};
 
 const PAGES: u64 = 48;
@@ -39,40 +41,22 @@ fn run_chaos(plan: FaultPlan, seed: u64) -> String {
     let mut rt = KonaRuntime::new(cluster(plan)).expect("valid chaos config");
     rt.set_failure_policy(FailurePolicy::PageFaultFallback);
     let base = rt.allocate(PAGES * 4096).expect("allocate");
-    let mut model = vec![0u8; (PAGES * 4096) as usize];
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut completed = 0u64;
-    for _ in 0..OPS {
-        let page = rng.gen_range(0..PAGES);
-        let off = (page * 4096 + rng.gen_range(0..64) * 64) as usize;
-        if rng.gen_bool(0.5) {
-            let byte: u8 = rng.gen();
-            if rt.write_bytes(base + off as u64, &[byte; 64]).is_ok() {
-                model[off..off + 64].fill(byte);
-                completed += 1;
-            }
-        } else {
-            let mut buf = [0u8; 64];
-            if rt.read_bytes(base + off as u64, &mut buf).is_ok() {
-                assert_eq!(&buf[..], &model[off..off + 64], "stale read under {name}");
-                completed += 1;
-            }
-        }
+    let mut reference = ReferenceMemory::new(base, PAGES);
+    let mut tally = OpTally::default();
+    for op in line_stream(PAGES, seed).take(OPS as usize) {
+        tally.count(reference.apply(&mut rt, op));
     }
+    assert_eq!(tally.stale, 0, "{name}: stale reads");
+    let completed = tally.completed;
     assert!(
         completed >= OPS * 9 / 10,
         "{name}: only {completed}/{OPS} accesses completed"
     );
     rt.sync().expect("final sync must succeed (losses within budget)");
-    // Every page must read back exactly as the model predicts — possibly
-    // from a replica, never from a node with an abandoned writeback.
-    for page in 0..PAGES {
-        let mut buf = [0u8; 4096];
-        rt.read_bytes(base + page * 4096, &mut buf)
-            .unwrap_or_else(|e| panic!("{name}: page {page} unreadable: {e}"));
-        let off = (page * 4096) as usize;
-        assert_eq!(&buf[..], &model[off..off + 4096], "{name}: page {page} diverged");
-    }
+    // Every page must read back exactly as the reference predicts —
+    // possibly from a replica, never from a node with an abandoned
+    // writeback.
+    assert_eq!(reference.verify_all(&mut rt), 0, "{name}: pages unreadable or diverged");
     let s = rt.stats();
     let ev = rt.eviction_stats();
     let faults = rt.fabric_mut().fault_stats();

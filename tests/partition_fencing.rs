@@ -12,12 +12,12 @@
 //!   any worker width.
 
 use kona::{
-    seeded_script, ClusterConfig, FailurePolicy, RemoteMemoryRuntime, ShardedRun,
+    line_stream, seeded_script, ClusterConfig, FailurePolicy, OpTally, ReferenceMemory,
+    RemoteMemoryRuntime, ShardedRun,
 };
 use kona_cluster::{ClusterRuntime, ControlPlaneConfig};
 use kona_net::FaultPlan;
 use kona_telemetry::{Telemetry, DEFAULT_WINDOW_NS};
-use kona_types::rng::{Rng, StdRng};
 use kona_types::{par_map, Jobs, Nanos, ShardPlan, Shards};
 
 const PAGES: u64 = 64;
@@ -37,9 +37,7 @@ fn partition_plans(seed: u64) -> Vec<FaultPlan> {
 }
 
 struct PartitionRun {
-    ok: u64,
-    failed: u64,
-    stale_reads: u64,
+    tally: OpTally,
     verify_errors: u64,
     stats: kona_cluster::ClusterStats,
     /// Divergence found by a second full scrub after the catch-up pass.
@@ -51,7 +49,7 @@ impl PartitionRun {
     fn fingerprint(&self, plan: &str, fencing: bool) -> String {
         format!(
             "{plan} fencing={fencing} ok={} failed={} stale_reads={} stats={:?}",
-            self.ok, self.failed, self.stale_reads, self.stats
+            self.tally.completed, self.tally.failed, self.tally.stale, self.stats
         )
     }
 }
@@ -73,52 +71,23 @@ fn run_partition(plan: FaultPlan, fencing: bool) -> PartitionRun {
         .expect("valid config");
     rt.inner_mut().set_failure_policy(FailurePolicy::PageFaultFallback);
     let base = rt.allocate(PAGES * 4096).expect("allocate");
-    let mut model = vec![0u8; (PAGES * 4096) as usize];
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let (mut ok, mut failed, mut stale_reads) = (0u64, 0u64, 0u64);
-    let step = |rt: &mut ClusterRuntime,
-                    rng: &mut StdRng,
-                    model: &mut Vec<u8>,
-                    ok: &mut u64,
-                    failed: &mut u64,
-                    stale: &mut u64| {
-        let page = rng.gen_range(0..PAGES);
-        let off = (page * 4096 + rng.gen_range(0..64) * 64) as usize;
-        if rng.gen_bool(0.5) {
-            let byte: u8 = rng.gen();
-            match rt.write_bytes(base + off as u64, &[byte; 64]) {
-                Ok(_) => {
-                    model[off..off + 64].fill(byte);
-                    *ok += 1;
-                }
-                Err(_) => *failed += 1,
-            }
-        } else {
-            let mut buf = [0u8; 64];
-            match rt.read_bytes(base + off as u64, &mut buf) {
-                Ok(_) => {
-                    if buf[..] != model[off..off + 64] {
-                        *stale += 1;
-                    }
-                    *ok += 1;
-                }
-                Err(_) => *failed += 1,
-            }
-        }
-    };
-    for i in 0..OPS {
-        step(&mut rt, &mut rng, &mut model, &mut ok, &mut failed, &mut stale_reads);
+    let mut reference = ReferenceMemory::new(base, PAGES);
+    let mut tally = OpTally::default();
+    let mut stream = line_stream(PAGES, SEED);
+    for (i, op) in stream.by_ref().take(OPS as usize).enumerate() {
+        tally.count(reference.apply(&mut rt, op));
         if i % 8 == 7 {
             let _ = rt.sync();
         }
     }
-    let mut rounds = 0u64;
-    while rt.inner_mut().fabric_mut().now() < HORIZON && rounds < 50_000 {
-        step(&mut rt, &mut rng, &mut model, &mut ok, &mut failed, &mut stale_reads);
-        if rounds % 64 == 0 {
+    for (round, op) in stream.take(50_000).enumerate() {
+        if rt.inner_mut().fabric_mut().now() >= HORIZON {
+            break;
+        }
+        tally.count(reference.apply(&mut rt, op));
+        if round % 64 == 0 {
             let _ = rt.sync();
         }
-        rounds += 1;
     }
     let _ = rt.sync();
 
@@ -128,23 +97,9 @@ fn run_partition(plan: FaultPlan, fencing: bool) -> PartitionRun {
     let fin = rt.scrub_stats();
     let end_divergence = fin.divergence_found - mid.divergence_found;
 
-    let mut verify_errors = 0u64;
-    for page in 0..PAGES {
-        let mut buf = [0u8; 4096];
-        match rt.read_bytes(base + page * 4096, &mut buf) {
-            Ok(_) => {
-                let off = (page * 4096) as usize;
-                if buf[..] != model[off..off + 4096] {
-                    verify_errors += 1;
-                }
-            }
-            Err(_) => verify_errors += 1,
-        }
-    }
+    let verify_errors = reference.verify_all(&mut rt);
     PartitionRun {
-        ok,
-        failed,
-        stale_reads,
+        tally,
         verify_errors,
         stats: rt.cluster_stats(),
         end_divergence,
@@ -159,10 +114,10 @@ fn fencing_holds_availability_and_rejects_every_stale_write() {
     for plan in partition_plans(SEED) {
         let name = plan.name;
         let r = run_partition(plan, true);
-        assert_eq!(r.failed, 0, "{name}: availability below 100%");
-        assert!(r.ok > 0, "{name}: workload ran");
+        assert_eq!(r.tally.failed, 0, "{name}: availability below 100%");
+        assert!(r.tally.completed > 0, "{name}: workload ran");
         assert_eq!(r.stats.stale_applied, 0, "{name}: stale epoch entries applied");
-        assert_eq!(r.stale_reads, 0, "{name}: stale reads served");
+        assert_eq!(r.tally.stale, 0, "{name}: stale reads served");
         assert_eq!(r.verify_errors, 0, "{name}: final verify failed");
         assert_eq!(
             r.stats.scrub_divergence_found, 0,
@@ -192,7 +147,7 @@ fn naive_heal_goes_stale_and_scrub_repairs_it() {
     for plan in partition_plans(SEED) {
         let name = plan.name;
         let r = run_partition(plan, false);
-        assert_eq!(r.failed, 0, "{name}: availability below 100%");
+        assert_eq!(r.tally.failed, 0, "{name}: availability below 100%");
         assert!(
             r.stats.scrub_divergence_found >= 1,
             "{name}: naive heal produced no divergence: {:?}",

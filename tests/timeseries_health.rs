@@ -4,7 +4,9 @@
 //! and health reports, merge determinism, and fire/resolve behaviour
 //! under a bundled fault plan.
 
-use kona::{ClusterConfig, KonaRuntime, RemoteMemoryRuntime};
+use kona::{
+    line_stream, ClusterConfig, KonaRuntime, OpOutcome, ReferenceMemory, RemoteMemoryRuntime,
+};
 use kona_net::FaultPlan;
 use kona_telemetry::{HealthMonitor, Rule, SeriesData, Telemetry};
 use kona_types::rng::{Rng, StdRng};
@@ -14,7 +16,8 @@ const PAGES: u64 = 16;
 const WINDOW_NS: u64 = 100_000;
 
 /// Runs the seeded read/write workload under `plan` with time-series
-/// collection on, returning the telemetry handle for inspection.
+/// collection on, failing on any stale read, and returns the telemetry
+/// handle for inspection.
 fn run_with_series(plan: FaultPlan, seed: u64, ops: u64) -> Telemetry {
     let mut cfg = ClusterConfig::small().with_local_cache_pages(4).with_replicas(2);
     cfg.cpu_cache_lines = 64;
@@ -24,16 +27,10 @@ fn run_with_series(plan: FaultPlan, seed: u64, ops: u64) -> Telemetry {
     tel.enable_timeseries(WINDOW_NS);
     let mut rt = KonaRuntime::with_telemetry(cfg, tel.clone()).expect("valid config");
     let base = rt.allocate(PAGES * 4096).expect("allocate");
-    let mut rng = StdRng::seed_from_u64(seed);
-    for _ in 0..ops {
-        let page = rng.gen_range(0..PAGES);
-        let off = (page * 4096 + rng.gen_range(0..64) * 64) as u64;
-        if rng.gen_bool(0.5) {
-            let _ = rt.write_bytes(base + off, &[rng.gen::<u8>(); 64]);
-        } else {
-            let mut buf = [0u8; 64];
-            let _ = rt.read_bytes(base + off, &mut buf);
-        }
+    let mut reference = ReferenceMemory::new(base, PAGES);
+    for op in line_stream(PAGES, seed).take(ops as usize) {
+        let outcome = reference.apply(&mut rt, op);
+        assert!(!matches!(outcome, OpOutcome::Stale(_)), "stale read on {op:?}");
     }
     let _ = rt.sync();
     tel
