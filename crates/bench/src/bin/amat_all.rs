@@ -7,13 +7,14 @@
 //! system models — the cross-workload view of the same tradeoff.
 //!
 //! The workloads are independent, so they fan out over `--jobs` worker
-//! threads (each worker constructs its own workload by index and replays
-//! its own trace). Rows are collected in workload order, so the printed
-//! tables are identical for every job count.
+//! threads (each worker constructs its own workload by index and drives
+//! its own trace once for both cache points). Rows are collected in
+//! workload order, so the printed tables are identical for every job
+//! count.
 
 use kona_bench::{banner, f1, ExpOptions, TextTable};
-use kona_kcachesim::{sweep_cache_size, SystemModel};
-use kona_types::par_map;
+use kona_kcachesim::{drive_grid, DramGeometry, SystemModel};
+use kona_types::{par_map, Jobs};
 use kona_workloads::{
     GraphAlgorithm, GraphWorkload, HistogramWorkload, LinearRegressionWorkload, RedisWorkload,
     VoltDbWorkload, Workload, WorkloadProfile,
@@ -67,22 +68,18 @@ fn main() {
     };
 
     let percents = [25u32, 50];
+    let systems = [
+        SystemModel::kona(),
+        SystemModel::kona_main(),
+        SystemModel::legoos(),
+        SystemModel::infiniswap(),
+    ];
     let results: Vec<WorkloadAmat> = par_map(opts.jobs, (0..WORKLOADS).collect(), |_, i| {
         let wl = make_workload(i, profile);
-        let trace = wl.generate(42);
-        let per_pct = percents
+        let grid = percents.map(|pct| DramGeometry::new(f64::from(pct) / 100.0, 4096, 4));
+        let per_pct = drive_grid(&wl.generate(42), &grid, Jobs::serial())
             .iter()
-            .map(|&pct| {
-                let amat = |sys: &SystemModel| {
-                    sweep_cache_size(&trace, sys, &[pct], 4096, 4)[0].result.amat_ns
-                };
-                [
-                    amat(&SystemModel::kona()),
-                    amat(&SystemModel::kona_main()),
-                    amat(&SystemModel::legoos()),
-                    amat(&SystemModel::infiniswap()),
-                ]
-            })
+            .map(|c| systems.each_ref().map(|sys| sys.price(c).amat_ns))
             .collect();
         WorkloadAmat {
             name: wl.name().to_string(),

@@ -32,7 +32,7 @@ use kona::{
 use kona_bench::{profile_scenario, ExpOptions};
 use kona_coherence::{AgentId, CoherenceSystem};
 use kona_fpga::{DirtyTracker, RemoteTranslation, VictimPage};
-use kona_kcachesim::{sweep_cache_size_jobs, SystemModel};
+use kona_kcachesim::{drive_grid, DramGeometry, SystemModel};
 use kona_net::{Fabric, FaultInjector, FaultPlan, NetworkModel, Opcode};
 use kona_types::rng::{Rng, StdRng};
 use kona_telemetry::{host_profile_start, host_profile_stop, Profile, ProfileDiff};
@@ -317,7 +317,7 @@ fn retry_backoff(quick: bool) -> f64 {
     })
 }
 
-/// Wall-clock of one cache-size sweep at the given job count, in ms.
+/// Wall-clock of one 8-point cache-size grid at the given job count, in ms.
 fn sweep_wall_ms(quick: bool, jobs: Jobs) -> f64 {
     let profile = if quick {
         WorkloadProfile::default()
@@ -331,10 +331,14 @@ fn sweep_wall_ms(quick: bool, jobs: Jobs) -> f64 {
             .with_scale_divisor(512)
     };
     let trace = RedisWorkload::rand().with_profile(profile).generate(42);
-    let percents = [10u32, 20, 30, 40, 50, 60, 70, 80];
+    let grid = [10u32, 20, 30, 40, 50, 60, 70, 80]
+        .map(|pct| DramGeometry::new(f64::from(pct) / 100.0, 4096, 4));
     let start = Instant::now();
-    let pts = sweep_cache_size_jobs(&trace, &SystemModel::kona(), &percents, 4096, 4, jobs);
-    std::hint::black_box(pts.len());
+    let amat: f64 = drive_grid(&trace, &grid, jobs)
+        .iter()
+        .map(|c| SystemModel::kona().price(c).amat_ns)
+        .sum();
+    std::hint::black_box(amat);
     start.elapsed().as_secs_f64() * 1e3
 }
 

@@ -1,9 +1,10 @@
 //! Fig 10: dirty-tracking speedup relative to write-protection.
 //!
-//! For each workload, KTracker runs once in coherence mode (no tracking
-//! overhead on the app) and once in write-protect mode (a minor fault per
-//! first write to each page per window plus re-protection work); the
-//! speedup is the relative reduction in total time.
+//! For each workload, KTracker walks the trace once and prices the walk in
+//! coherence mode (no tracking overhead on the app) and in write-protect
+//! mode (a minor fault per first write to each page per window plus
+//! re-protection work); the speedup is the relative reduction in total
+//! time.
 //!
 //! Workloads fan out over `--jobs` worker threads; rows come back in
 //! workload order, so output is identical for every job count.
@@ -92,12 +93,12 @@ fn main() {
 
     let rows = par_map(opts.jobs, workloads, |_, (name, make, paper)| {
         let tracker = KTracker::new(Nanos::secs(1));
-        let trace = make(profile).generate(42);
-        let coh = tracker.run(&trace, TrackingMode::Coherence);
-        let wp = tracker.run(&trace, TrackingMode::WriteProtect);
+        let walk = tracker.walk(&make(profile).generate(42));
+        let coh = walk.price(TrackingMode::Coherence);
+        let wp = walk.price(TrackingMode::WriteProtect);
         // Extension: Intel PML (related work §8) removes the write faults
         // but keeps page granularity; coherence tracking still wins.
-        let pml = tracker.run(&trace, TrackingMode::Pml);
+        let pml = walk.price(TrackingMode::Pml);
         vec![
             name.to_string(),
             f1(speedup_percent(&coh, &wp)),

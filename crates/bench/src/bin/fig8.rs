@@ -6,9 +6,13 @@
 //! here rather than plotted, matching the paper's treatment).
 //!
 //! Panel d: AMAT vs FMem block size for Redis-Rand at 0/27/54/100% cache.
+//!
+//! Each panel drives its trace through the on-chip levels once
+//! ([`drive_grid`]) and replays the LLC misses per DRAM-cache geometry;
+//! every system then only prices the resulting level counts.
 
 use kona_bench::{banner, f1, ExpOptions, TextTable};
-use kona_kcachesim::{sweep_block_size_jobs, sweep_cache_size_jobs, SystemModel};
+use kona_kcachesim::{drive_grid, DramGeometry, SystemModel};
 use kona_trace::{Trace, TraceEvent};
 use kona_types::{align_up, MemAccess, VirtAddr, PAGE_SIZE_4K};
 use kona_workloads::{
@@ -63,6 +67,14 @@ fn trace_for(panel: char, profile: WorkloadProfile) -> (String, Trace) {
 
 fn main() {
     let opts = ExpOptions::from_env();
+    let panels: Vec<char> = match opts.value_of("panel") {
+        Some(p) => p.chars().collect(),
+        None => vec!['a', 'b', 'c', 'd'],
+    };
+    if let Some(bad) = panels.iter().find(|p| !('a'..='d').contains(*p)) {
+        eprintln!("fig8: unknown panel '{bad}': --panel takes letters a-d (e.g. --panel ad)");
+        std::process::exit(2);
+    }
     banner("Fig 8: simulating remote data fetch (KCacheSim)", "Figure 8");
     // High op counts relative to the footprint give the traces the reuse
     // the real applications have (Zipf-popular keys, hot graph vertices).
@@ -80,11 +92,6 @@ fn main() {
             .with_scale_divisor(128)
     };
 
-    let panels: Vec<char> = match opts.value_of("panel") {
-        Some(p) => p.chars().collect(),
-        None => vec!['a', 'b', 'c', 'd'],
-    };
-
     let tel = opts.telemetry();
     for panel in panels {
         let (name, trace) = trace_for(panel, profile);
@@ -99,25 +106,19 @@ fn main() {
                 "54% cache",
                 "100% cache",
             ]);
-            let mut per_frac = Vec::new();
-            for frac in [0.0, 0.27, 0.54, 1.0] {
-                per_frac.push(sweep_block_size_jobs(
-                    &trace,
-                    &SystemModel::kona(),
-                    blocks,
-                    frac,
-                    4,
-                    opts.jobs,
-                ));
-            }
+            let fracs = [0.0, 0.27, 0.54, 1.0];
+            let grid: Vec<DramGeometry> = fracs
+                .iter()
+                .flat_map(|&frac| blocks.iter().map(move |&bs| DramGeometry::new(frac, bs, 4)))
+                .collect();
+            let counts = drive_grid(&trace, &grid, opts.jobs);
+            let kona = SystemModel::kona();
             for (i, &bs) in blocks.iter().enumerate() {
-                table.row(vec![
-                    bs.to_string(),
-                    f1(per_frac[0][i].result.amat_ns),
-                    f1(per_frac[1][i].result.amat_ns),
-                    f1(per_frac[2][i].result.amat_ns),
-                    f1(per_frac[3][i].result.amat_ns),
-                ]);
+                let mut row = vec![bs.to_string()];
+                for f in 0..fracs.len() {
+                    row.push(f1(kona.price(&counts[f * blocks.len() + i]).amat_ns));
+                }
+                table.row(row);
             }
             table.print();
             println!(
@@ -135,10 +136,11 @@ fn main() {
             SystemModel::kona_main(),
             SystemModel::infiniswap(),
         ];
-        let mut sweeps = Vec::new();
-        for sys in &systems {
-            sweeps.push(sweep_cache_size_jobs(&trace, sys, percents, 4096, 4, opts.jobs));
-        }
+        let grid: Vec<DramGeometry> = percents
+            .iter()
+            .map(|&pct| DramGeometry::new(f64::from(pct) / 100.0, 4096, 4))
+            .collect();
+        let counts = drive_grid(&trace, &grid, opts.jobs);
         let mut table = TextTable::new(&[
             "Cache %",
             "LegoOS",
@@ -147,17 +149,17 @@ fn main() {
             "Infiniswap",
             "LegoOS/Kona",
         ]);
-        for (i, &pct) in percents.iter().enumerate() {
-            let lego = sweeps[0][i].result.amat_ns;
-            let kona = sweeps[1][i].result.amat_ns;
+        for (&pct, c) in percents.iter().zip(&counts) {
+            let [lego, kona, kona_main, infiniswap] =
+                systems.each_ref().map(|s| s.price(c).amat_ns);
             tel.gauge(&format!("fig8.{panel}.c{pct}.kona_amat_ns")).set(kona);
             tel.gauge(&format!("fig8.{panel}.c{pct}.legoos_amat_ns")).set(lego);
             table.row(vec![
                 pct.to_string(),
                 f1(lego),
                 f1(kona),
-                f1(sweeps[2][i].result.amat_ns),
-                f1(sweeps[3][i].result.amat_ns),
+                f1(kona_main),
+                f1(infiniswap),
                 format!("{:.2}x", lego / kona),
             ]);
         }

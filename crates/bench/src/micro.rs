@@ -156,7 +156,7 @@ mod tests {
         let m = ContentionModel::new(0.5);
         assert_eq!(m.contended(Nanos::from_ns(100), 1), Nanos::from_ns(100));
         assert_eq!(m.contended(Nanos::from_ns(100), 3), Nanos::from_ns(200));
-        assert!(ContentionModel::KONA.serial_frac > ContentionModel::VM.serial_frac);
+        const { assert!(ContentionModel::KONA.serial_frac > ContentionModel::VM.serial_frac) };
     }
 
     #[test]

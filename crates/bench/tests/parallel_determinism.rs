@@ -1,13 +1,13 @@
 //! The parallel engine's contract: any `--jobs` count produces output
 //! byte-identical to the sequential run.
 //!
-//! Three layers are checked at jobs ∈ {1, 2, 8}: the KCacheSim sweeps
-//! (results merged in input order), runtime replays whose
+//! Three layers are checked at jobs ∈ {1, 2, 8}: the KCacheSim grid
+//! (DRAM-cache replays merged in input order), runtime replays whose
 //! [`RuntimeStats`] are merged with [`RuntimeStats::merge`], and
 //! telemetry registries merged via dump/absorb.
 
 use kona::{ClusterConfig, KonaRuntime, RemoteMemoryRuntime, RuntimeStats};
-use kona_kcachesim::{sweep_cache_size, sweep_cache_size_jobs, SystemModel};
+use kona_kcachesim::{drive_grid, sweep_cache_size, DramGeometry, SweepPoint, SystemModel};
 use kona_telemetry::Telemetry;
 use kona_types::rng::{Rng, StdRng};
 use kona_types::{par_map, AccessKind, Jobs, MemAccess, Nanos, VirtAddr, PAGE_SIZE_4K};
@@ -28,15 +28,16 @@ fn sweeps_are_identical_at_every_job_count() {
     let trace = small_trace();
     let percents = [10u32, 25, 50, 75];
     let serial = sweep_cache_size(&trace, &SystemModel::kona(), &percents, 4096, 4);
+    let grid = percents.map(|pct| DramGeometry::new(f64::from(pct) / 100.0, 4096, 4));
     for jobs in JOB_COUNTS {
-        let par = sweep_cache_size_jobs(
-            &trace,
-            &SystemModel::kona(),
-            &percents,
-            4096,
-            4,
-            Jobs::from_args(&["--jobs".into(), jobs.to_string()]),
-        );
+        let par: Vec<SweepPoint> = drive_grid(&trace, &grid, Jobs::new(jobs))
+            .iter()
+            .zip(percents)
+            .map(|(counts, pct)| SweepPoint {
+                x: f64::from(pct),
+                result: SystemModel::kona().price(counts),
+            })
+            .collect();
         assert_eq!(par, serial, "jobs={jobs} diverged from sequential sweep");
         // Byte-identical, not merely approximately equal: the rendered
         // form is what the experiment binaries print.
@@ -53,13 +54,13 @@ fn run_chunk(chunk: usize) -> (Nanos, RuntimeStats) {
     let mut total = Nanos::ZERO;
     for _ in 0..500 {
         let offset = rng.next_u64() % (64 * PAGE_SIZE_4K - 8);
-        let kind = if rng.next_u64() % 3 == 0 {
+        let kind = if rng.next_u64().is_multiple_of(3) {
             AccessKind::Write
         } else {
             AccessKind::Read
         };
         let access = MemAccess::new(VirtAddr::new(base.raw() + offset), 8, kind);
-        total = total + rt.access(access).expect("access");
+        total += rt.access(access).expect("access");
     }
     (total, rt.stats())
 }

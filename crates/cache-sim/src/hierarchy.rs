@@ -90,20 +90,26 @@ impl CacheHierarchy {
     /// Presents a multi-byte access, splitting it into per-line probes.
     /// Returns the number of lines that had to go all the way to memory.
     pub fn access_range(&mut self, access: MemAccess) -> u64 {
-        let start = access.addr.line_start().raw();
-        let end = access.end().raw();
-        let mut addr = start;
         let mut mem = 0;
+        self.access_range_with(access, |_| mem += 1);
+        mem
+    }
+
+    /// [`access_range`](Self::access_range) that hands each line that
+    /// missed every level to `on_miss`, in access order.
+    pub fn access_range_with(&mut self, access: MemAccess, mut on_miss: impl FnMut(VirtAddr)) {
+        let end = access.end().raw();
+        let mut addr = access.addr.line_start().raw();
         loop {
-            if self.access(VirtAddr::new(addr), access.kind).is_none() {
-                mem += 1;
+            let line = VirtAddr::new(addr);
+            if self.access(line, access.kind).is_none() {
+                on_miss(line);
             }
             addr += CACHE_LINE_SIZE;
             if addr >= end {
                 break;
             }
         }
-        mem
     }
 
     /// Statistics for level `i`.

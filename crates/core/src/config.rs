@@ -548,11 +548,15 @@ mod tests {
     fn degraded_config_validation() {
         assert!(DegradedConfig::default().validate().is_ok());
         assert!(!DegradedConfig::disabled().enabled);
-        let mut d = DegradedConfig::default();
-        d.failure_threshold = 0;
+        let d = DegradedConfig {
+            failure_threshold: 0,
+            ..DegradedConfig::default()
+        };
         assert!(d.validate().is_err());
-        let mut d = DegradedConfig::default();
-        d.window = Nanos::ZERO;
+        let d = DegradedConfig {
+            window: Nanos::ZERO,
+            ..DegradedConfig::default()
+        };
         assert!(d.validate().is_err());
     }
 

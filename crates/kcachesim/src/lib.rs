@@ -7,10 +7,14 @@
 //! with a 4KB block size. For the baselines, we use main memory (CMem)
 //! instead of FMem."
 //!
-//! Our Cachegrind stand-in is `kona-cache-sim`; this crate adds the
-//! per-system latency models ([`SystemModel`]) and the sweeps behind the
-//! paper's Fig 8 panels ([`sweep_cache_size`], [`sweep_block_size`],
-//! [`sweep_associativity`]).
+//! Our Cachegrind stand-in is `kona-cache-sim`; this crate keeps the
+//! paper's two steps apart. [`drive_grid`] drives a trace once through
+//! the Skylake L1–LLC and replays only its LLC misses through each
+//! DRAM-cache geometry, yielding per-level [`LevelCounts`]. Then
+//! [`SystemModel::price`] turns those counts into an AMAT for any
+//! system. [`simulate`] and the sweeps behind the paper's Fig 8 panels
+//! ([`sweep_cache_size`], [`sweep_block_size`], [`sweep_associativity`])
+//! are one-system wrappers over that pair.
 //!
 //! Remote latencies come from the paper's measurements: Kona at the raw
 //! 3 µs RDMA page fetch (no page fault), LegoOS at 10 µs and Infiniswap at
@@ -32,11 +36,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod grid;
 mod model;
 mod sweep;
 
-pub use model::{simulate, simulate_sharded, AmatResult, SystemModel};
-pub use sweep::{
-    sweep_associativity, sweep_associativity_jobs, sweep_block_size, sweep_block_size_jobs,
-    sweep_cache_size, sweep_cache_size_jobs, SweepPoint,
-};
+pub use grid::{drive_grid, DramGeometry, LevelCounts};
+pub use model::{simulate, AmatResult, SystemModel};
+pub use sweep::{sweep_associativity, sweep_block_size, sweep_cache_size, SweepPoint};

@@ -1,15 +1,14 @@
 //! Parameter sweeps behind the Fig 8 panels.
 //!
-//! Each sweep point replays the whole trace through an independent cache
-//! hierarchy, so points are embarrassingly parallel. The `*_jobs` variants
-//! fan the points out over [`kona_types::par_map`] worker threads; results
-//! come back in input order, so output is byte-identical to a sequential
-//! run regardless of the job count. The plain functions are serial
-//! wrappers (`Jobs::serial()`).
+//! Each sweep is one [`drive_grid`] call: one L1–LLC pass over the trace,
+//! then one DRAM-cache replay of its LLC misses per point, priced under
+//! one system. Callers that price several systems, or fan the points out
+//! over worker threads, call [`drive_grid`] directly.
 
-use crate::model::{amat_of, dram_capacity, drive, AmatResult, SystemModel};
+use crate::grid::{drive_grid, DramGeometry};
+use crate::model::{AmatResult, SystemModel};
 use kona_trace::Trace;
-use kona_types::{par_map, Jobs};
+use kona_types::Jobs;
 
 /// One point of a sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,6 +17,23 @@ pub struct SweepPoint {
     pub x: f64,
     /// Result at this point.
     pub result: AmatResult,
+}
+
+/// Drives `points` as one grid and prices each under `system`.
+fn sweep(
+    trace: &Trace,
+    system: &SystemModel,
+    points: impl Iterator<Item = (f64, DramGeometry)>,
+) -> Vec<SweepPoint> {
+    let (xs, geometries): (Vec<f64>, Vec<DramGeometry>) = points.unzip();
+    let counts = drive_grid(trace, &geometries, Jobs::serial());
+    xs.into_iter()
+        .zip(&counts)
+        .map(|(x, c)| SweepPoint {
+            x,
+            result: system.price(c),
+        })
+        .collect()
 }
 
 /// Sweeps the DRAM-cache size as a percentage of the trace footprint
@@ -33,34 +49,11 @@ pub fn sweep_cache_size(
     block_size: u64,
     ways: usize,
 ) -> Vec<SweepPoint> {
-    sweep_cache_size_jobs(trace, system, percents, block_size, ways, Jobs::serial())
-}
-
-/// [`sweep_cache_size`] with the points fanned out over `jobs` worker
-/// threads. Results are merged in input order: output is byte-identical
-/// to the serial sweep.
-///
-/// # Panics
-///
-/// Panics if the trace is empty.
-pub fn sweep_cache_size_jobs(
-    trace: &Trace,
-    system: &SystemModel,
-    percents: &[u32],
-    block_size: u64,
-    ways: usize,
-    jobs: Jobs,
-) -> Vec<SweepPoint> {
-    assert!(!trace.is_empty(), "cannot sweep an empty trace");
-    let footprint = trace.address_span();
-    par_map(jobs, percents.to_vec(), |_, pct| {
-        let capacity = dram_capacity(footprint, f64::from(pct) / 100.0, block_size, ways);
-        let hierarchy = drive(trace.as_slice(), capacity, block_size, ways);
-        SweepPoint {
-            x: f64::from(pct),
-            result: amat_of(&hierarchy, system),
-        }
-    })
+    let points = percents.iter().map(|&pct| {
+        let x = f64::from(pct);
+        (x, DramGeometry::new(x / 100.0, block_size, ways))
+    });
+    sweep(trace, system, points)
 }
 
 /// Sweeps the DRAM-cache block size (Fig 8d x-axis) at a fixed cache
@@ -76,33 +69,10 @@ pub fn sweep_block_size(
     cache_frac: f64,
     ways: usize,
 ) -> Vec<SweepPoint> {
-    sweep_block_size_jobs(trace, system, block_sizes, cache_frac, ways, Jobs::serial())
-}
-
-/// [`sweep_block_size`] with the points fanned out over `jobs` worker
-/// threads (order-preserving; see [`sweep_cache_size_jobs`]).
-///
-/// # Panics
-///
-/// Panics if the trace is empty.
-pub fn sweep_block_size_jobs(
-    trace: &Trace,
-    system: &SystemModel,
-    block_sizes: &[u64],
-    cache_frac: f64,
-    ways: usize,
-    jobs: Jobs,
-) -> Vec<SweepPoint> {
-    assert!(!trace.is_empty(), "cannot sweep an empty trace");
-    let footprint = trace.address_span();
-    par_map(jobs, block_sizes.to_vec(), |_, bs| {
-        let capacity = dram_capacity(footprint, cache_frac, bs, ways);
-        let hierarchy = drive(trace.as_slice(), capacity, bs, ways);
-        SweepPoint {
-            x: bs as f64,
-            result: amat_of(&hierarchy, system),
-        }
-    })
+    let points = block_sizes
+        .iter()
+        .map(|&bs| (bs as f64, DramGeometry::new(cache_frac, bs, ways)));
+    sweep(trace, system, points)
 }
 
 /// Sweeps the DRAM-cache associativity ("we found that the associativity
@@ -118,33 +88,10 @@ pub fn sweep_associativity(
     cache_frac: f64,
     block_size: u64,
 ) -> Vec<SweepPoint> {
-    sweep_associativity_jobs(trace, system, ways_list, cache_frac, block_size, Jobs::serial())
-}
-
-/// [`sweep_associativity`] with the points fanned out over `jobs` worker
-/// threads (order-preserving; see [`sweep_cache_size_jobs`]).
-///
-/// # Panics
-///
-/// Panics if the trace is empty.
-pub fn sweep_associativity_jobs(
-    trace: &Trace,
-    system: &SystemModel,
-    ways_list: &[usize],
-    cache_frac: f64,
-    block_size: u64,
-    jobs: Jobs,
-) -> Vec<SweepPoint> {
-    assert!(!trace.is_empty(), "cannot sweep an empty trace");
-    let footprint = trace.address_span();
-    par_map(jobs, ways_list.to_vec(), |_, ways| {
-        let capacity = dram_capacity(footprint, cache_frac, block_size, ways);
-        let hierarchy = drive(trace.as_slice(), capacity, block_size, ways);
-        SweepPoint {
-            x: ways as f64,
-            result: amat_of(&hierarchy, system),
-        }
-    })
+    let points = ways_list
+        .iter()
+        .map(|&ways| (ways as f64, DramGeometry::new(cache_frac, block_size, ways)));
+    sweep(trace, system, points)
 }
 
 #[cfg(test)]

@@ -11,10 +11,13 @@
 //!
 //! The tracker drives a workload trace against a byte-accurate
 //! [`AppMemory`], snapshots pages each window, and diffs to find dirty
-//! cache lines — exactly the paper's emulation strategy. Write-protect
-//! mode instead charges a minor fault per first-write-per-page-per-window
-//! plus the re-protection TLB work, yielding the Fig 10 speedup and the
-//! Fig 9 amplification series.
+//! cache lines — exactly the paper's emulation strategy. That walk does
+//! not depend on the tracking mode ([`KTracker::walk`]); each
+//! [`TrackingMode`] then only prices its overhead
+//! ([`TrackerWalk::price`]). Write-protect mode charges a minor fault per
+//! first-write-per-page-per-window plus the re-protection TLB work,
+//! yielding the Fig 10 speedup; the walk's dirty counts give the Fig 9
+//! amplification series.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,4 +28,6 @@ mod tracker;
 
 pub use memory::AppMemory;
 pub use snapshot::SnapshotStore;
-pub use tracker::{speedup_percent, KTracker, TrackerReport, TrackingMode, WindowReport};
+pub use tracker::{
+    speedup_percent, KTracker, TrackerReport, TrackerWalk, TrackingMode, WindowReport,
+};

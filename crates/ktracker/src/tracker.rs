@@ -2,8 +2,8 @@
 
 use crate::memory::AppMemory;
 use crate::snapshot::SnapshotStore;
-use kona_trace::{Trace, TraceEvent, Windows};
-use kona_types::{Nanos, PageNumber, CACHE_LINE_SIZE, PAGE_SIZE_4K};
+use kona_trace::{Trace, Windows};
+use kona_types::{FxHashSet, Nanos, PageNumber, CACHE_LINE_SIZE, PAGE_SIZE_4K};
 use kona_vm_sim::PmlLog;
 
 /// Cost of one write-protection (minor) page fault.
@@ -121,91 +121,120 @@ impl KTracker {
         KTracker { window_width }
     }
 
-    /// Runs a trace in the given mode.
+    /// Runs a trace in the given mode: one [`walk`](Self::walk) priced
+    /// under `mode`.
     pub fn run(&self, trace: &Trace, mode: TrackingMode) -> TrackerReport {
+        self.walk(trace).price(mode)
+    }
+
+    /// Walks a trace once through memory and snapshots, recording what
+    /// every tracking mode prices: each window's dirty pages, dirty lines
+    /// and written-page set.
+    pub fn walk(&self, trace: &Trace) -> TrackerWalk {
         let mut memory = AppMemory::new();
         let mut snapshots = SnapshotStore::new();
         let mut windows = Vec::new();
 
-        for (idx, events) in Windows::new(trace, self.window_width).iter().enumerate() {
-            let report = self.run_window(idx, events, mode, &mut memory, &mut snapshots);
-            if let Some(r) = report {
-                windows.push(r);
+        for (window, events) in Windows::new(trace, self.window_width).iter().enumerate() {
+            let mut written_pages = FxHashSet::default();
+            for e in events {
+                if e.access.kind.is_write() {
+                    let first = e.access.addr.raw() / PAGE_SIZE_4K;
+                    let last = (e.access.end().raw() - 1) / PAGE_SIZE_4K;
+                    written_pages.extend(first..=last);
+                }
+                memory.apply(e.access);
+            }
+            let dirty = snapshots.diff(&memory);
+            if !dirty.is_empty() {
+                let dirty_pages = dirty.len();
+                let dirty_lines: usize = dirty.values().map(|bm| bm.count_set()).sum();
+                let page_bytes = dirty_pages as u64 * PAGE_SIZE_4K;
+                let line_bytes = dirty_lines as u64 * CACHE_LINE_SIZE;
+                let report = WindowReport {
+                    window,
+                    dirty_pages,
+                    dirty_lines,
+                    amplification_ratio: page_bytes as f64 / line_bytes as f64,
+                    tracking_overhead: Nanos::ZERO,
+                };
+                windows.push((report, written_pages));
             }
             // "KTracker updates its memory snapshot every second."
             snapshots.refresh(&memory);
         }
 
-        let overhead: Nanos = windows.iter().map(|w| w.tracking_overhead).sum();
         let (copied, compared) = snapshots.overhead_bytes();
-        TrackerReport {
-            mode,
-            total_time: trace.duration() + overhead,
+        TrackerWalk {
             windows,
+            duration: trace.duration(),
             emulation_bytes: copied + compared,
         }
     }
+}
 
-    fn run_window(
-        &self,
-        idx: usize,
-        events: &[TraceEvent],
-        mode: TrackingMode,
-        memory: &mut AppMemory,
-        snapshots: &mut SnapshotStore,
-    ) -> Option<WindowReport> {
-        let mut wp_faulted_pages: kona_types::FxHashSet<u64> = kona_types::FxHashSet::default();
-        for e in events {
-            if e.access.kind.is_write() {
-                let mut page = e.access.addr.raw() / PAGE_SIZE_4K;
-                let last = (e.access.end().raw() - 1) / PAGE_SIZE_4K;
-                while page <= last {
-                    wp_faulted_pages.insert(page);
-                    page += 1;
-                }
-            }
-            memory.apply(e.access);
+/// The mode-independent result of [`KTracker::walk`]: every
+/// [`TrackingMode`] differs only in the overhead [`price`](Self::price)
+/// charges on top of it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TrackerWalk {
+    /// Per window with writes: its report before any tracking overhead,
+    /// and the pages written at least once in it.
+    windows: Vec<(WindowReport, FxHashSet<u64>)>,
+    /// The trace's wall-clock duration.
+    duration: Nanos,
+    emulation_bytes: u64,
+}
+
+impl TrackerWalk {
+    /// Prices the walk under one tracking mode.
+    pub fn price(&self, mode: TrackingMode) -> TrackerReport {
+        let windows: Vec<WindowReport> = self
+            .windows
+            .iter()
+            .map(|(w, written_pages)| WindowReport {
+                tracking_overhead: tracking_overhead(mode, w.dirty_pages, written_pages),
+                ..*w
+            })
+            .collect();
+        let overhead: Nanos = windows.iter().map(|w| w.tracking_overhead).sum();
+        TrackerReport {
+            mode,
+            total_time: self.duration + overhead,
+            windows,
+            emulation_bytes: self.emulation_bytes,
         }
+    }
+}
 
-        let dirty = snapshots.diff(memory);
-        let dirty_pages = dirty.len();
-        let dirty_lines: usize = dirty.values().map(|bm| bm.count_set()).sum();
-        if dirty_pages == 0 {
-            return None;
+/// Overhead `mode` charges the application for one window.
+fn tracking_overhead(
+    mode: TrackingMode,
+    dirty_pages: usize,
+    written_pages: &FxHashSet<u64>,
+) -> Nanos {
+    match mode {
+        TrackingMode::Coherence => Nanos::ZERO,
+        TrackingMode::WriteProtect => {
+            // One minor fault per first-written page, plus re-protection
+            // of every dirty page at the window boundary.
+            WP_FAULT * written_pages.len() as u64 + REPROTECT * dirty_pages as u64
         }
-
-        let tracking_overhead = match mode {
-            TrackingMode::Coherence => Nanos::ZERO,
-            TrackingMode::WriteProtect => {
-                // One minor fault per first-written page, plus re-protection
-                // of every dirty page at the window boundary.
-                WP_FAULT * wp_faulted_pages.len() as u64 + REPROTECT * dirty_pages as u64
+        TrackingMode::Pml => {
+            // Hardware appends + batched VM-exits + D-bit resets.
+            let mut pml = PmlLog::new();
+            for &page in written_pages {
+                pml.record_write(PageNumber(page));
             }
-            TrackingMode::Pml => {
-                // Hardware appends + batched VM-exits + D-bit resets.
-                let mut pml = PmlLog::new();
-                for &page in &wp_faulted_pages {
-                    pml.record_write(PageNumber(page));
-                }
-                pml.time_charged() + PML_DBIT_RESET * dirty_pages as u64
-            }
-        };
-
-        let page_bytes = dirty_pages as u64 * PAGE_SIZE_4K;
-        let line_bytes = dirty_lines as u64 * CACHE_LINE_SIZE;
-        Some(WindowReport {
-            window: idx,
-            dirty_pages,
-            dirty_lines,
-            amplification_ratio: page_bytes as f64 / line_bytes as f64,
-            tracking_overhead,
-        })
+            pml.time_charged() + PML_DBIT_RESET * dirty_pages as u64
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kona_trace::TraceEvent;
     use kona_types::{MemAccess, VirtAddr};
 
     fn ev(sec: u64, addr: u64, len: u32, write: bool) -> TraceEvent {

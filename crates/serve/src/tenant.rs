@@ -282,7 +282,7 @@ mod tests {
             admitted += ra as u64;
         }
         // 3.9 ms elapsed at 2 ops/ms plus a burst of 4: ≈ 12 admits.
-        assert!(admitted >= 10 && admitted <= 13, "admitted {admitted}");
+        assert!((10..=13).contains(&admitted), "admitted {admitted}");
     }
 
     #[test]

@@ -185,7 +185,7 @@ fn installed_monitor_emits_alert_spans_during_run() {
     let mut rng = StdRng::seed_from_u64(42);
     for _ in 0..600 {
         let page = rng.gen_range(0..PAGES);
-        let off = (page * 4096 + rng.gen_range(0..64) * 64) as u64;
+        let off = page * 4096 + rng.gen_range(0..64) * 64;
         let mut buf = [0u8; 64];
         let _ = rt.read_bytes(base + off, &mut buf);
     }
